@@ -10,14 +10,19 @@
 //! ```
 //!
 //! The counters are process-global atomics; [`snapshot`] + [`since`]
-//! bracket a region of interest.
+//! bracket a region of interest. Because they are global, a measuring
+//! test holds [`exclusive`] for its whole body, so two tests of one
+//! binary (which libtest runs in parallel) never count each other's
+//! allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static DEALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+static EXCLUSIVE: Mutex<()> = Mutex::new(());
 
 /// System allocator wrapper that counts allocation events.
 pub struct CountingAlloc;
@@ -68,4 +73,13 @@ pub fn since(start: AllocSnapshot) -> AllocSnapshot {
         deallocs: now.deallocs - start.deallocs,
         bytes: now.bytes - start.bytes,
     }
+}
+
+/// Process-wide exclusive guard for allocation measurement. Take it first
+/// in every test that brackets a region with [`snapshot`]/[`since`] and
+/// hold it to the end of the test: measured regions of tests in the same
+/// binary then never overlap. A test that panicked while holding the
+/// guard does not poison it for the others.
+pub fn exclusive() -> MutexGuard<'static, ()> {
+    EXCLUSIVE.lock().unwrap_or_else(PoisonError::into_inner)
 }

@@ -453,22 +453,21 @@ fn transe_ova_t_body(
 /// tail.
 pub const BLOCK_T_LANES: usize = 16;
 
-/// Transpose one group of `BLOCK_T_LANES` gathered rows (`src`, row-major
-/// `BLOCK_T_LANES × dim`) into the lane-major tile `dst`
+/// Transpose one group of `BLOCK_T_LANES` rows of `dim` floats (table
+/// rows or gathered copies) into the lane-major tile `dst`
 /// (`dst[k * BLOCK_T_LANES + j]` = element `k` of row `j`). Reads are
 /// contiguous per row; the whole tile stays L1-sized for training dims.
 #[inline]
-fn transpose_group(src: &[f32], dim: usize, dst: &mut [f32]) {
+fn transpose_group(rows: &[&[f32]; BLOCK_T_LANES], dst: &mut [f32]) {
     const L: usize = BLOCK_T_LANES;
-    debug_assert_eq!(src.len(), L * dim);
-    debug_assert_eq!(dst.len(), dim * L);
+    debug_assert!(rows.iter().all(|r| r.len() * L == dst.len()));
     #[cfg(target_arch = "x86_64")]
     if crate::simd::use_avx() {
         // SAFETY: AVX was just detected at runtime; slice bounds are
         // asserted inside before any raw access.
-        return unsafe { transpose_group_avx(src, dim, dst) };
+        return unsafe { transpose_group_avx(rows, dst) };
     }
-    for (j, row) in src.chunks_exact(dim).enumerate() {
+    for (j, row) in rows.iter().enumerate() {
         for (k, &x) in row.iter().enumerate() {
             dst[k * L + j] = x;
         }
@@ -478,28 +477,33 @@ fn transpose_group(src: &[f32], dim: usize, dst: &mut [f32]) {
 /// AVX [`transpose_group`]: in-register 8x8 transposes (unpack + shuffle +
 /// 128-bit permute), one lane half at a time, with a scalar column tail.
 /// Pure data movement, so bit-identity to the scalar gather is structural.
+///
+/// # Safety
+///
+/// The CPU must support AVX. Every row must hold `dst.len() / 16` floats,
+/// which is asserted before any raw access.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn transpose_group_avx(src: &[f32], dim: usize, dst: &mut [f32]) {
+unsafe fn transpose_group_avx(rows: &[&[f32]; BLOCK_T_LANES], dst: &mut [f32]) {
     use std::arch::x86_64::*;
     const L: usize = BLOCK_T_LANES;
-    assert!(src.len() >= L * dim);
-    assert!(dst.len() >= dim * L);
-    let sp = src.as_ptr();
+    let dim = dst.len() / L;
+    assert!(rows.iter().all(|r| r.len() == dim));
     let dp = dst.as_mut_ptr();
     let d8 = dim - dim % 8;
     for half in 0..2 {
         let o = half * 8;
+        let p: [*const f32; 8] = std::array::from_fn(|j| rows[o + j].as_ptr());
         for k0 in (0..d8).step_by(8) {
             // 8 rows (lanes o..o+8) x 8 columns (dims k0..k0+8).
-            let r0 = _mm256_loadu_ps(sp.add(o * dim + k0));
-            let r1 = _mm256_loadu_ps(sp.add((o + 1) * dim + k0));
-            let r2 = _mm256_loadu_ps(sp.add((o + 2) * dim + k0));
-            let r3 = _mm256_loadu_ps(sp.add((o + 3) * dim + k0));
-            let r4 = _mm256_loadu_ps(sp.add((o + 4) * dim + k0));
-            let r5 = _mm256_loadu_ps(sp.add((o + 5) * dim + k0));
-            let r6 = _mm256_loadu_ps(sp.add((o + 6) * dim + k0));
-            let r7 = _mm256_loadu_ps(sp.add((o + 7) * dim + k0));
+            let r0 = _mm256_loadu_ps(p[0].add(k0));
+            let r1 = _mm256_loadu_ps(p[1].add(k0));
+            let r2 = _mm256_loadu_ps(p[2].add(k0));
+            let r3 = _mm256_loadu_ps(p[3].add(k0));
+            let r4 = _mm256_loadu_ps(p[4].add(k0));
+            let r5 = _mm256_loadu_ps(p[5].add(k0));
+            let r6 = _mm256_loadu_ps(p[6].add(k0));
+            let r7 = _mm256_loadu_ps(p[7].add(k0));
             let t0 = _mm256_unpacklo_ps(r0, r1);
             let t1 = _mm256_unpackhi_ps(r0, r1);
             let t2 = _mm256_unpacklo_ps(r2, r3);
@@ -526,8 +530,8 @@ unsafe fn transpose_group_avx(src: &[f32], dim: usize, dst: &mut [f32]) {
             _mm256_storeu_ps(dp.add((k0 + 7) * L + o), _mm256_permute2f128_ps::<0x31>(s3, s7));
         }
         for k in d8..dim {
-            for j in 0..8 {
-                *dp.add(k * L + o + j) = *sp.add((o + j) * dim + k);
+            for (j, &pj) in p.iter().enumerate() {
+                *dp.add(k * L + o + j) = *pj.add(k);
             }
         }
     }
@@ -1138,25 +1142,6 @@ pub trait KgeModel: Send + Sync {
         (6 * self.storage_dim()) as f64
     }
 
-    /// Score `scores.len()` triples whose rows were gathered contiguously
-    /// into `h`/`r`/`t` arenas (example `i` spans
-    /// `i*storage_dim..(i+1)*storage_dim`).
-    ///
-    /// Per-example scores use the exact reduction order of [`Self::score`],
-    /// so the block path is bit-identical to the scalar path. The default
-    /// delegates row by row; since default bodies are monomorphized per
-    /// model, `self.score` is a direct (inlinable) call — the win over the
-    /// scalar path is the contiguous arena and a single virtual dispatch
-    /// per block instead of one per triple.
-    fn score_block(&self, h: &[f32], r: &[f32], t: &[f32], scores: &mut [f32]) {
-        let dim = self.storage_dim();
-        for (i, s) in scores.iter_mut().enumerate() {
-            let a = i * dim;
-            let b = a + dim;
-            *s = self.score(&h[a..b], &r[a..b], &t[a..b]);
-        }
-    }
-
     /// Score one query against a contiguous tile of candidate entity rows —
     /// the one-vs-all evaluation kernel.
     ///
@@ -1229,8 +1214,8 @@ pub trait KgeModel: Send + Sync {
 
     /// Whether [`Self::score_group_t`] has a fused implementation — the
     /// gate for the lane-major training forward path in
-    /// [`Self::score_grad_block`]. Models without one (RotatE, SimplE)
-    /// keep the row-major [`Self::score_block`] sweep.
+    /// [`Self::score_grad_block`] and [`Self::score_triples`]. Models
+    /// without one (RotatE, SimplE) score row by row with [`Self::score`].
     fn has_train_kernel(&self) -> bool {
         false
     }
@@ -1314,19 +1299,45 @@ pub trait KgeModel: Send + Sync {
         }
     }
 
-    /// Fused batched kernel for one block of `(head, rel, tail)` triples:
-    /// **gather** the rows into `scratch`'s contiguous arenas, **score**
-    /// the whole block, turn each score into an upstream loss coefficient
-    /// via `coeff_of(example_idx, score)` (called in example order — the
-    /// place to accumulate the loss), compute all gradients in one fused
-    /// pass, apply L2 (`g += l2_reg · row`, always executed, matching the
-    /// scalar path), and **scatter** into the sparse accumulators in
-    /// example order (head, tail, rel — head and tail may collide).
+    /// Forward-only scoring of one block of `(head, rel, tail)` triples:
+    /// the forward half of [`Self::score_grad_block`], with the same
+    /// group-at-a-time kernels (`forward_group`) but no gather copy
+    /// for full groups, so every score is bit-identical to
+    /// [`Self::score`] on the table rows.
+    /// Returns the `triples.len()` scores, which live in `scratch`.
+    fn score_triples<'s>(
+        &self,
+        ent: &EmbeddingTable,
+        rel: &EmbeddingTable,
+        triples: &[(u32, u32, u32)],
+        scratch: &'s mut BlockScratch,
+    ) -> &'s [f32] {
+        let n = triples.len();
+        scratch.reserve(n, self.storage_dim());
+        let fused = self.has_train_kernel() && !crate::simd::force_scalar();
+        for g0 in (0..n).step_by(BLOCK_T_LANES) {
+            let group = &triples[g0..n.min(g0 + BLOCK_T_LANES)];
+            forward_group(self, fused, false, ent, rel, group, scratch, g0);
+        }
+        &scratch.scores[..n]
+    }
+
+    /// Fused batched kernel for one block of `(head, rel, tail)` triples.
+    /// Group by group of [`BLOCK_T_LANES`] examples it **gathers** and
+    /// **scores** the group (`forward_group`), turns each score into an
+    /// upstream loss coefficient via `coeff_of(example_idx, score)`
+    /// (called in example order — the place to accumulate the loss),
+    /// computes the group's gradients with L2 folded in
+    /// ([`Self::grad_block_l2`]: `g += l2_reg · row`, always executed,
+    /// matching the scalar path), and **scatters** them into the sparse
+    /// accumulators in example order (head, tail, rel — head and tail may
+    /// collide) while the group's staging rows are still cache-resident.
     ///
     /// Every f32 operation sequence matches the one-triple-at-a-time path,
-    /// so chunked results stay bit-identical across thread-pool sizes.
-    /// `scratch` buffers grow to the block high-water mark during warm-up
-    /// and are reused afterwards — steady state allocates nothing.
+    /// so chunked results stay bit-identical across thread-pool sizes and
+    /// across both sides of the force-scalar override. `scratch` buffers
+    /// grow to their high-water mark during warm-up and are reused
+    /// afterwards — steady state allocates nothing.
     #[allow(clippy::too_many_arguments)]
     fn score_grad_block(
         &self,
@@ -1342,100 +1353,85 @@ pub trait KgeModel: Send + Sync {
         let dim = self.storage_dim();
         let n = triples.len();
         scratch.reserve(n, dim);
-        if self.has_train_kernel() && !crate::simd::force_scalar() {
-            // Group-at-a-time fused path: each BLOCK_T_LANES-example group
-            // is gathered, transposed into lane-major tiles, scored with
-            // the AVX group kernel, differentiated, regularized and
-            // scattered while its staging rows are still cache-resident —
-            // one sweep over tens of KB instead of five passes streaming
-            // the whole block. Partial trailing groups take the scalar
-            // score. Every step performs the same operations in the same
-            // order as the row-major arm below, so both sides of the
-            // force-scalar override stay bit-identical.
-            const L: usize = BLOCK_T_LANES;
-            for g0 in (0..n).step_by(L) {
-                let len = L.min(n - g0);
-                let glen = len * dim;
-                scratch.h.clear();
-                scratch.r.clear();
-                scratch.t.clear();
-                for &(h, r, t) in &triples[g0..g0 + len] {
-                    scratch.h.extend_from_slice(ent.row(h as usize));
-                    scratch.r.extend_from_slice(rel.row(r as usize));
-                    scratch.t.extend_from_slice(ent.row(t as usize));
-                }
-                if len == L {
-                    transpose_group(&scratch.h, dim, &mut scratch.ht);
-                    transpose_group(&scratch.r, dim, &mut scratch.rt);
-                    transpose_group(&scratch.t, dim, &mut scratch.tt);
-                    self.score_group_t(
-                        &scratch.ht,
-                        &scratch.rt,
-                        &scratch.tt,
-                        &mut scratch.scores[g0..g0 + L],
-                    );
-                } else {
-                    for i in 0..len {
-                        let a = i * dim;
-                        let b = a + dim;
-                        scratch.scores[g0 + i] =
-                            self.score(&scratch.h[a..b], &scratch.r[a..b], &scratch.t[a..b]);
-                    }
-                }
-                for i in 0..len {
-                    scratch.coeffs[g0 + i] = coeff_of(g0 + i, scratch.scores[g0 + i]);
-                }
-                self.grad_block_l2(
-                    &scratch.h,
-                    &scratch.r,
-                    &scratch.t,
-                    &scratch.coeffs[g0..g0 + len],
-                    l2_reg,
-                    &mut scratch.gh[..glen],
-                    &mut scratch.gr[..glen],
-                    &mut scratch.gt[..glen],
-                );
-                for (i, &(h, r, t)) in triples[g0..g0 + len].iter().enumerate() {
-                    let a = i * dim;
-                    let b = a + dim;
-                    axpy(1.0, &scratch.gh[a..b], ent_out.row_mut(h));
-                    axpy(1.0, &scratch.gt[a..b], ent_out.row_mut(t));
-                    axpy(1.0, &scratch.gr[a..b], rel_out.row_mut(r));
-                }
+        let fused = self.has_train_kernel() && !crate::simd::force_scalar();
+        for g0 in (0..n).step_by(BLOCK_T_LANES) {
+            let group = &triples[g0..n.min(g0 + BLOCK_T_LANES)];
+            let glen = group.len() * dim;
+            forward_group(self, fused, true, ent, rel, group, scratch, g0);
+            for i in g0..g0 + group.len() {
+                scratch.coeffs[i] = coeff_of(i, scratch.scores[i]);
             }
-            return;
+            self.grad_block_l2(
+                &scratch.h,
+                &scratch.r,
+                &scratch.t,
+                &scratch.coeffs[g0..g0 + group.len()],
+                l2_reg,
+                &mut scratch.gh[..glen],
+                &mut scratch.gr[..glen],
+                &mut scratch.gt[..glen],
+            );
+            for (i, &(h, r, t)) in group.iter().enumerate() {
+                let a = i * dim;
+                let b = a + dim;
+                axpy(1.0, &scratch.gh[a..b], ent_out.row_mut(h));
+                axpy(1.0, &scratch.gt[a..b], ent_out.row_mut(t));
+                axpy(1.0, &scratch.gr[a..b], rel_out.row_mut(r));
+            }
         }
-        for &(h, r, t) in triples {
+    }
+}
+
+/// The forward half shared by [`KgeModel::score_triples`] and
+/// [`KgeModel::score_grad_block`]: score one group of at most
+/// [`BLOCK_T_LANES`] triples into `scratch.scores[g0..g0 + group.len()]`.
+/// With `fused` set, a full group is transposed straight from the table
+/// rows into lane-major tiles and scored by [`KgeModel::score_group_t`];
+/// partial groups, models without a train kernel (RotatE, SimplE) and the
+/// force-scalar arm take the scalar [`KgeModel::score`] per gathered row.
+/// Both produce the same bits. With `gather` set the group's rows are
+/// also left in `scratch.h`/`r`/`t` for the backward pass.
+#[allow(clippy::too_many_arguments)]
+fn forward_group<M: KgeModel + ?Sized>(
+    model: &M,
+    fused: bool,
+    gather: bool,
+    ent: &EmbeddingTable,
+    rel: &EmbeddingTable,
+    group: &[(u32, u32, u32)],
+    scratch: &mut BlockScratch,
+    g0: usize,
+) {
+    let dim = model.storage_dim();
+    let tiled = fused && group.len() == BLOCK_T_LANES;
+    if gather || !tiled {
+        scratch.h.clear();
+        scratch.r.clear();
+        scratch.t.clear();
+        for &(h, r, t) in group {
             scratch.h.extend_from_slice(ent.row(h as usize));
             scratch.r.extend_from_slice(rel.row(r as usize));
             scratch.t.extend_from_slice(ent.row(t as usize));
         }
-        self.score_block(&scratch.h, &scratch.r, &scratch.t, &mut scratch.scores[..n]);
-        for i in 0..n {
-            scratch.coeffs[i] = coeff_of(i, scratch.scores[i]);
+    }
+    let scores = &mut scratch.scores[g0..g0 + group.len()];
+    if tiled {
+        fn rows<'a>(
+            table: &'a EmbeddingTable,
+            group: &[(u32, u32, u32)],
+            id: impl Fn(&(u32, u32, u32)) -> u32,
+        ) -> [&'a [f32]; BLOCK_T_LANES] {
+            std::array::from_fn(|j| table.row(id(&group[j]) as usize))
         }
-        self.grad_block(
-            &scratch.h,
-            &scratch.r,
-            &scratch.t,
-            &scratch.coeffs[..n],
-            &mut scratch.gh,
-            &mut scratch.gr,
-            &mut scratch.gt,
-        );
-        for i in 0..n {
+        transpose_group(&rows(ent, group, |x| x.0), &mut scratch.ht);
+        transpose_group(&rows(rel, group, |x| x.1), &mut scratch.rt);
+        transpose_group(&rows(ent, group, |x| x.2), &mut scratch.tt);
+        model.score_group_t(&scratch.ht, &scratch.rt, &scratch.tt, scores);
+    } else {
+        for (i, s) in scores.iter_mut().enumerate() {
             let a = i * dim;
             let b = a + dim;
-            axpy(l2_reg, &scratch.h[a..b], &mut scratch.gh[a..b]);
-            axpy(l2_reg, &scratch.r[a..b], &mut scratch.gr[a..b]);
-            axpy(l2_reg, &scratch.t[a..b], &mut scratch.gt[a..b]);
-        }
-        for (i, &(h, r, t)) in triples.iter().enumerate() {
-            let a = i * dim;
-            let b = a + dim;
-            axpy(1.0, &scratch.gh[a..b], ent_out.row_mut(h));
-            axpy(1.0, &scratch.gt[a..b], ent_out.row_mut(t));
-            axpy(1.0, &scratch.gr[a..b], rel_out.row_mut(r));
+            *s = model.score(&scratch.h[a..b], &scratch.r[a..b], &scratch.t[a..b]);
         }
     }
 }
@@ -2408,14 +2404,28 @@ mod tests {
     fn check_block_matches_scalar(model: &dyn KgeModel) {
         let mut rng = StdRng::seed_from_u64(33);
         let dim = model.storage_dim();
-        let n = 7;
+        // One full lane group plus a partial one.
+        let n = BLOCK_T_LANES + 3;
         let h: Vec<f32> = rand_vec(&mut rng, n * dim);
         let r: Vec<f32> = rand_vec(&mut rng, n * dim);
         let t: Vec<f32> = rand_vec(&mut rng, n * dim);
         let coeffs: Vec<f32> = rand_vec(&mut rng, n);
 
-        let mut scores = vec![0.0f32; n];
-        model.score_block(&h, &r, &t, &mut scores);
+        // Forward-only block scoring over tables holding the same rows:
+        // entity `i` is head row `i`, entity `n + i` tail row `i`.
+        let mut ent = crate::EmbeddingTable::zeros(2 * n, dim);
+        let mut rel = crate::EmbeddingTable::zeros(n, dim);
+        for i in 0..n {
+            let s = i * dim..(i + 1) * dim;
+            ent.row_mut(i).copy_from_slice(&h[s.clone()]);
+            ent.row_mut(n + i).copy_from_slice(&t[s.clone()]);
+            rel.row_mut(i).copy_from_slice(&r[s]);
+        }
+        let triples: Vec<(u32, u32, u32)> = (0..n as u32).map(|i| (i, i, n as u32 + i)).collect();
+        let mut scratch = BlockScratch::new();
+        let scores = model
+            .score_triples(&ent, &rel, &triples, &mut scratch)
+            .to_vec();
         // Poison the arenas so overwrite semantics are actually exercised.
         let mut gh = vec![99.0f32; n * dim];
         let mut gr = vec![99.0f32; n * dim];

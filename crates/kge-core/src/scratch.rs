@@ -46,32 +46,34 @@ impl<T> ScratchPool<T> {
     }
 }
 
-/// Arenas for one fused score+gradient block (see
-/// [`crate::model::KgeModel::score_grad_block`]): gathered head/relation/
-/// tail rows, per-example scores and loss coefficients, and the gradient
-/// arenas the fused pass writes. All buffers grow to the block's high-water
-/// mark during warm-up and are reused verbatim afterwards.
+/// Arenas for block scoring ([`crate::model::KgeModel::score_triples`])
+/// and the fused score+gradient block
+/// ([`crate::model::KgeModel::score_grad_block`]). Both walk the block one
+/// group of [`crate::model::BLOCK_T_LANES`] examples at a time, so only
+/// the per-example scores and coefficients are block-sized; the gathered
+/// rows, lane-major tiles and gradient arenas hold one group. All buffers
+/// grow to their high-water mark during warm-up and are reused verbatim
+/// afterwards.
 #[derive(Debug, Default)]
 pub struct BlockScratch {
-    /// Gathered head rows, `n × dim`, contiguous.
+    /// The group's gathered head rows, `len × dim`, contiguous.
     pub h: Vec<f32>,
-    /// Gathered relation rows.
+    /// The group's gathered relation rows.
     pub r: Vec<f32>,
-    /// Gathered tail rows.
+    /// The group's gathered tail rows.
     pub t: Vec<f32>,
-    /// Per-example scores.
+    /// Per-example scores for the whole block.
     pub scores: Vec<f32>,
-    /// Per-example upstream loss coefficients `∂L/∂φ`.
+    /// Per-example upstream loss coefficients `∂L/∂φ` for the whole block.
     pub coeffs: Vec<f32>,
-    /// Gradient arena for head rows (written by the fused pass).
+    /// Gradient arena for the group's head rows (written by the fused pass).
     pub gh: Vec<f32>,
-    /// Gradient arena for relation rows.
+    /// Gradient arena for the group's relation rows.
     pub gr: Vec<f32>,
-    /// Gradient arena for tail rows.
+    /// Gradient arena for the group's tail rows.
     pub gt: Vec<f32>,
     /// Lane-major head tile for the transposed forward kernel: element `k`
-    /// of lane `j` at `ht[k * BLOCK_T_LANES + j]`, one group of
-    /// [`crate::model::BLOCK_T_LANES`] examples at a time.
+    /// of lane `j` at `ht[k * BLOCK_T_LANES + j]`.
     pub ht: Vec<f32>,
     /// Lane-major relation tile.
     pub rt: Vec<f32>,
@@ -84,29 +86,30 @@ impl BlockScratch {
         Self::default()
     }
 
-    /// Size every arena for `n` examples of `dim` floats. Keeps existing
-    /// capacity; only grows allocations past the high-water mark. The
-    /// gradient arenas are *not* re-zeroed here — the fused pass
-    /// overwrites them (and the fallback path zero-fills per row).
+    /// Size the arenas for a block of `n` examples of `dim` floats. Keeps
+    /// existing capacity; only grows allocations past the high-water mark.
+    /// The gradient arenas and tiles are *not* re-zeroed here — every
+    /// group overwrites the part it reads.
     pub fn reserve(&mut self, n: usize, dim: usize) {
-        let len = n * dim;
+        let group = crate::model::BLOCK_T_LANES * dim;
         self.h.clear();
         self.r.clear();
         self.t.clear();
-        self.h.reserve(len);
-        self.r.reserve(len);
-        self.t.reserve(len);
+        self.h.reserve(group);
+        self.r.reserve(group);
+        self.t.reserve(group);
         self.scores.resize(n, 0.0);
         self.coeffs.resize(n, 0.0);
-        self.gh.resize(len, 0.0);
-        self.gr.resize(len, 0.0);
-        self.gt.resize(len, 0.0);
-        // One group-sized tile per operand; the transposed forward pass
-        // overwrites them group by group, so no re-zeroing is needed.
-        let tile = crate::model::BLOCK_T_LANES * dim;
-        self.ht.resize(tile, 0.0);
-        self.rt.resize(tile, 0.0);
-        self.tt.resize(tile, 0.0);
+        for arena in [
+            &mut self.gh,
+            &mut self.gr,
+            &mut self.gt,
+            &mut self.ht,
+            &mut self.rt,
+            &mut self.tt,
+        ] {
+            arena.resize(group, 0.0);
+        }
     }
 }
 
@@ -131,13 +134,16 @@ mod tests {
 
     #[test]
     fn block_scratch_reserve_grows_once() {
+        let group = crate::model::BLOCK_T_LANES * 4;
         let mut s = BlockScratch::new();
-        s.reserve(8, 4);
-        assert_eq!(s.h.capacity(), 32);
+        s.reserve(40, 4);
+        // Row arenas hold one group; scores span the block.
+        assert_eq!(s.h.capacity(), group);
+        assert_eq!(s.scores.len(), 40);
         let caps = (s.h.capacity(), s.scores.capacity());
         s.reserve(4, 4); // smaller block: no shrink, no realloc
         assert_eq!((s.h.capacity(), s.scores.capacity()), caps);
         assert_eq!(s.scores.len(), 4);
-        assert_eq!(s.gh.len(), 16);
+        assert_eq!(s.gh.len(), group);
     }
 }

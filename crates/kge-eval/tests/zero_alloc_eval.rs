@@ -24,6 +24,7 @@ use rand::{Rng, SeedableRng};
 
 #[test]
 fn steady_state_ranking_eval_allocates_nothing() {
+    let _exclusive = alloc_count::exclusive();
     let n_entities = 200usize;
     let n_relations = 8usize;
     let model = ComplEx::new(16);

@@ -22,6 +22,7 @@ use rand::{Rng, SeedableRng};
 
 #[test]
 fn steady_state_serve_batches_allocate_nothing() {
+    let _exclusive = alloc_count::exclusive();
     let n_entities = 300usize;
     let n_relations = 6u32;
     let model: Arc<dyn KgeModel> = Arc::new(ComplEx::new(16));

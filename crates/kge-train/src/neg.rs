@@ -10,7 +10,7 @@
 //! scoring is a net win when it buys convergence.
 
 use crate::config::NegSampling;
-use kge_core::{EmbeddingTable, KgeModel};
+use kge_core::{BlockScratch, EmbeddingTable, KgeModel};
 use kge_data::{Dataset, FilterIndex, Triple};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -75,6 +75,24 @@ impl CorruptionBias {
     }
 }
 
+/// What every rank of one training call samples negatives against: the
+/// all-known-triples filter and the optional `bern` bias. Both depend only
+/// on the dataset, so a trainer builds them once per call and lends them
+/// to every rank instead of each rank building its own copy.
+pub(crate) struct NegContext {
+    pub(crate) filter: FilterIndex,
+    pub(crate) bias: Option<CorruptionBias>,
+}
+
+impl NegContext {
+    pub(crate) fn build(ds: &Dataset, bern: bool) -> Self {
+        NegContext {
+            filter: FilterIndex::build(ds),
+            bias: bern.then(|| CorruptionBias::fit(ds)),
+        }
+    }
+}
+
 /// Draw one corruption of `t` that is not a known true triple (bounded
 /// rejection; falls back to the last candidate on pathological data).
 /// The head-vs-tail choice follows `bias` when provided (`bern`),
@@ -122,21 +140,16 @@ pub struct NegBatch {
     pub scored_discarded: usize,
 }
 
-/// Reusable candidate-pool buffers for [`sample_negatives_into`]. One per
-/// worker; capacities persist across positives so the steady state
-/// allocates nothing (the stable sort's temp buffer excepted, and only on
-/// the selection path).
-#[derive(Debug, Clone, Default)]
-pub struct NegScratch {
-    pool: Vec<Triple>,
-    scored: Vec<(f32, Triple)>,
-}
-
-/// Generate negatives for `positive` under `policy`.
+/// Generate negatives for `positive` under `policy` — the per-positive
+/// reference.
 ///
-/// With selection enabled this performs the extra forward passes on
-/// `model`/tables; the caller charges `scored_discarded + train.len()`
-/// forward-pass flops to the simulated clock.
+/// Draws `policy.pool` corruptions; with selection enabled, scores each
+/// with [`KgeModel::score`] and keeps the `policy.train` highest in a
+/// stable descending sort, so ties go to the earlier draw. The trainer
+/// stages a whole chunk at once instead ([`stage_negatives`]), which must
+/// reproduce this function's draws and kept order exactly. The caller charges
+/// `scored_discarded + train.len()` forward-pass flops to the simulated
+/// clock.
 #[allow(clippy::too_many_arguments)]
 pub fn sample_negatives(
     policy: NegSampling,
@@ -149,25 +162,62 @@ pub fn sample_negatives(
     n_entities: usize,
     rng: &mut StdRng,
 ) -> NegBatch {
-    let mut scratch = NegScratch::default();
-    let mut train = Vec::new();
-    let scored_discarded = sample_negatives_into(
-        policy, positive, model, ent, rel, filter, bias, n_entities, rng, &mut scratch, &mut train,
-    );
+    let pool: Vec<Triple> = (0..policy.pool)
+        .map(|_| corrupt(positive, n_entities, filter, bias, rng))
+        .collect();
+    if !policy.uses_selection() {
+        return NegBatch {
+            train: pool,
+            scored_discarded: 0,
+        };
+    }
+    let mut scored: Vec<(f32, Triple)> = pool
+        .into_iter()
+        .map(|t| {
+            let s = model.score(
+                ent.row(t.head as usize),
+                rel.row(t.rel as usize),
+                ent.row(t.tail as usize),
+            );
+            (s, t)
+        })
+        .collect();
+    scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite scores"));
+    let keep = policy.train.min(scored.len());
     NegBatch {
-        train,
-        scored_discarded,
+        train: scored[..keep].iter().map(|&(_, t)| t).collect(),
+        scored_discarded: scored.len() - keep,
     }
 }
 
-/// Buffer-reusing [`sample_negatives`]: appends the kept negatives to
-/// `out` and returns the number of scored-but-discarded candidates.
-/// Identical results (same RNG draw order, same stable tie-breaking) to
-/// the allocating wrapper.
+/// Reusable buffers of [`stage_negatives`]: every positive's candidate
+/// pool in draw order, one pool's kept indices, and the block-scoring
+/// arenas. Capacities persist across chunks, so the steady state
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub struct SelectScratch {
+    pool: Vec<(u32, u32, u32)>,
+    kept: Vec<usize>,
+    block: BlockScratch,
+}
+
+/// Chunk-batched negative sampling — the trainer's staging path. Appends
+/// each of `positives` as `(1.0, positive)` followed by its negatives as
+/// `(-1.0, negative)` to `labels`/`triples`, and returns the number of
+/// scored-but-discarded candidates.
+///
+/// Without selection the pool is staged in draw order. With selection,
+/// every positive's pool is drawn first, all pools are scored in one
+/// [`KgeModel::score_triples`] call on the SIMD forward kernels, and each
+/// positive keeps its `train` hardest in stable descending order
+/// ([`select_hardest`]). Scoring consumes no randomness and the block
+/// scores are bit-identical to [`KgeModel::score`], so the result is
+/// exactly that of calling [`sample_negatives`] per positive on the same
+/// `rng`.
 #[allow(clippy::too_many_arguments)]
-pub fn sample_negatives_into(
+pub fn stage_negatives(
     policy: NegSampling,
-    positive: Triple,
+    positives: impl Iterator<Item = Triple> + Clone,
     model: &dyn KgeModel,
     ent: &EmbeddingTable,
     rel: &EmbeddingTable,
@@ -175,37 +225,71 @@ pub fn sample_negatives_into(
     bias: Option<&CorruptionBias>,
     n_entities: usize,
     rng: &mut StdRng,
-    scratch: &mut NegScratch,
-    out: &mut Vec<Triple>,
+    scratch: &mut SelectScratch,
+    labels: &mut Vec<f32>,
+    triples: &mut Vec<(u32, u32, u32)>,
 ) -> usize {
-    scratch.pool.clear();
-    scratch
-        .pool
-        .extend((0..policy.pool).map(|_| corrupt(positive, n_entities, filter, bias, rng)));
+    let mut draw = |pos: Triple| {
+        let t = corrupt(pos, n_entities, filter, bias, rng);
+        (t.head, t.rel, t.tail)
+    };
     if !policy.uses_selection() {
-        out.extend_from_slice(&scratch.pool);
+        for pos in positives {
+            labels.push(1.0);
+            triples.push((pos.head, pos.rel, pos.tail));
+            for _ in 0..policy.pool {
+                labels.push(-1.0);
+                triples.push(draw(pos));
+            }
+        }
         return 0;
     }
-    // Score the pool; keep the `train` hardest (highest score). Scoring
-    // consumes no randomness and the sort is stable, so the kept set is
-    // identical to the historical parallel-scoring loop at any thread
-    // count.
-    scratch.scored.clear();
-    scratch.scored.extend(scratch.pool.iter().map(|&t| {
-        let s = model.score(
-            ent.row(t.head as usize),
-            rel.row(t.rel as usize),
-            ent.row(t.tail as usize),
-        );
-        (s, t)
-    }));
-    scratch
-        .scored
-        .sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite scores"));
-    let keep = policy.train.min(scratch.scored.len());
-    let discarded = scratch.scored.len() - keep;
-    out.extend(scratch.scored[..keep].iter().map(|&(_, t)| t));
+    let SelectScratch { pool, kept, block } = scratch;
+    pool.clear();
+    for pos in positives.clone() {
+        for _ in 0..policy.pool {
+            pool.push(draw(pos));
+        }
+    }
+    let scores = model.score_triples(ent, rel, pool, block);
+    let pools = pool
+        .chunks_exact(policy.pool)
+        .zip(scores.chunks_exact(policy.pool));
+    let mut discarded = 0;
+    for (pos, (cands, cand_scores)) in positives.zip(pools) {
+        labels.push(1.0);
+        triples.push((pos.head, pos.rel, pos.tail));
+        select_hardest(cand_scores, policy.train, kept);
+        for &j in kept.iter() {
+            labels.push(-1.0);
+            triples.push(cands[j]);
+        }
+        discarded += cands.len() - kept.len();
+    }
     discarded
+}
+
+/// Indices of the `keep` highest of one pool's `scores`, written to `out`
+/// in the order a stable descending sort would list them: higher score
+/// first, ties to the earlier draw. Bounded insertion into `out` —
+/// O(pool · keep) compares, and no allocation once `out` has capacity for
+/// `keep` indices.
+fn select_hardest(scores: &[f32], keep: usize, out: &mut Vec<usize>) {
+    out.clear();
+    for (j, &s) in scores.iter().enumerate() {
+        // Insert after every kept score >= s, so equal scores keep their
+        // draw order.
+        let at = out
+            .iter()
+            .position(|&k| scores[k].partial_cmp(&s).expect("finite scores").is_lt())
+            .unwrap_or(out.len());
+        if at < keep {
+            if out.len() == keep {
+                out.pop();
+            }
+            out.insert(at, j);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -324,6 +408,18 @@ mod tests {
             })
             .collect();
         assert!(scores.windows(2).all(|w| w[0] >= w[1]), "{scores:?}");
+    }
+
+    #[test]
+    fn select_hardest_is_a_stable_descending_prefix() {
+        let scores = [0.5, 2.0, 0.5, 2.0, -1.0, 0.5];
+        let mut kept = Vec::new();
+        select_hardest(&scores, 1, &mut kept);
+        assert_eq!(kept, [1]);
+        select_hardest(&scores, 3, &mut kept);
+        assert_eq!(kept, [1, 3, 0], "ties keep draw order");
+        select_hardest(&scores, 6, &mut kept);
+        assert_eq!(kept, [1, 3, 0, 2, 5, 4]);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::exchange::{
     PipelineSlot,
 };
 use crate::lr::PlateauSchedule;
-use crate::neg::{sample_negatives_into, CorruptionBias, NegScratch};
+use crate::neg::{stage_negatives, CorruptionBias, NegContext, SelectScratch};
 use crate::report::{EpochTrace, TrainOutcome, TrainReport};
 use crate::snapshot::{PublishedModel, SnapshotSink};
 use kge_compress::codec::{RowDecoder, RowEncoder};
@@ -93,7 +93,8 @@ pub fn train_with_snapshots(
     if config.sharded.is_some() {
         return crate::shard::train_sharded(dataset, cluster, config);
     }
-    let mut results = cluster.run(|ctx| run_node(ctx, dataset, config, sink));
+    let neg = NegContext::build(dataset, config.strategy.bern);
+    let mut results = cluster.run(|ctx| run_node(ctx, dataset, &neg, config, sink));
     // Wire-level conservation is global: crashed ranks' pre-crash traffic
     // counts, so sum before discarding the non-reporting nodes.
     let wire_sent: u64 = results.iter().map(|r| r.wire_sent).sum();
@@ -158,6 +159,7 @@ pub(crate) struct NodeResult {
 fn run_node(
     ctx: &mut NodeCtx,
     dataset: &Dataset,
+    neg: &NegContext,
     config: &TrainConfig,
     sink: Option<&dyn SnapshotSink>,
 ) -> NodeResult {
@@ -165,7 +167,7 @@ fn run_node(
         .num_threads(node_pool_threads(ctx.size()))
         .build()
         .expect("node thread pool");
-    pool.install(|| run_node_inner(ctx, dataset, config, sink))
+    pool.install(|| run_node_inner(ctx, dataset, neg, config, sink))
 }
 
 /// Recompute everything that depends on the world size: the partition,
@@ -197,6 +199,7 @@ pub(crate) fn distribute(
 fn run_node_inner(
     ctx: &mut NodeCtx,
     dataset: &Dataset,
+    neg: &NegContext,
     config: &TrainConfig,
     sink: Option<&dyn SnapshotSink>,
 ) -> NodeResult {
@@ -222,17 +225,12 @@ fn run_node_inner(
     );
     let mut shard = base_shard.clone();
 
-    let filter = FilterIndex::build(dataset);
+    let (filter, bias) = (&neg.filter, neg.bias.as_ref());
     // Per-epoch ranking eval (opt-in): the grouped filter and workspace are
     // built once and reused, so steady-state evaluation allocates only its
     // per-call query shard.
     let mut eval_state = if config.eval_every > 0 {
-        Some((GroupedFilter::from_index(&filter), RankingWorkspace::new()))
-    } else {
-        None
-    };
-    let bias = if strategy.bern {
-        Some(CorruptionBias::fit(dataset))
+        Some((GroupedFilter::from_index(filter), RankingWorkspace::new()))
     } else {
         None
     };
@@ -651,7 +649,7 @@ fn run_node_inner(
 
         'batches: for b in 0..batches_per_epoch {
             let (loss, n_examples) = scratch.batch.batch_gradients_into(
-                model, &ent, &rel, &shard, b, config, &filter, bias.as_ref(), rank, epoch,
+                model, &ent, &rel, &shard, b, config, filter, bias, rank, epoch,
             );
             epoch_loss += loss;
             epoch_examples += n_examples;
@@ -1109,7 +1107,7 @@ fn run_node_inner(
             &ent,
             &rel,
             &dataset.valid,
-            &filter,
+            filter,
             dataset.n_entities,
             config.valid_samples,
             config.seed ^ (epoch as u64).wrapping_mul(0x2545F4914F6CDD1D),
@@ -1301,7 +1299,8 @@ fn run_node_inner(
 
 /// One chunk's reusable working state: the example staging arrays fed to
 /// the fused block kernel, the kernel's gather/score scratch, the
-/// negative-sampling scratch, and the chunk-local gradient accumulators.
+/// sample-selection candidate pool, and the chunk-local gradient
+/// accumulators.
 /// Instances live in a [`ScratchPool`] so every buffer is reused across
 /// chunks, batches, and epochs — after warmup, processing a chunk
 /// performs no heap allocation.
@@ -1313,8 +1312,7 @@ pub(crate) struct ChunkScratch {
     /// `(head, rel, tail)` ids in example order, the block kernel's input.
     pub(crate) triples: Vec<(u32, u32, u32)>,
     pub(crate) block: BlockScratch,
-    pub(crate) neg_scratch: NegScratch,
-    pub(crate) negs: Vec<Triple>,
+    pub(crate) select: SelectScratch,
     pub(crate) ent: SparseGrad,
     pub(crate) rel: SparseGrad,
 }
@@ -1327,8 +1325,7 @@ impl ChunkScratch {
             labels: Vec::new(),
             triples: Vec::new(),
             block: BlockScratch::new(),
-            neg_scratch: NegScratch::default(),
-            negs: Vec::new(),
+            select: SelectScratch::default(),
             ent: SparseGrad::new(dim),
             rel: SparseGrad::new(dim),
         }
@@ -1478,7 +1475,9 @@ fn process_chunk(
 /// sharded path stages against placeholder tables before the pull fills
 /// them, so the range must be the global entity count, not the table
 /// height. The chunk's gradient accumulators are cleared here so a staged
-/// chunk is always ready for [`compute_chunk`].
+/// chunk is always ready for [`compute_chunk`]. Negatives come from
+/// [`stage_negatives`], which scores a whole chunk's sample-selection
+/// pools in one block call.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn stage_chunk(
     model: &dyn KgeModel,
@@ -1500,30 +1499,20 @@ pub(crate) fn stage_chunk(
     cs.triples.clear();
     cs.ent.clear();
     cs.rel.clear();
-    let mut rng = StdRng::seed_from_u64(rng_seed);
-    for i in lo..hi {
-        let pos = shard[(start + i) % shard.len()];
-        cs.labels.push(1.0);
-        cs.triples.push((pos.head, pos.rel, pos.tail));
-        cs.negs.clear();
-        sample_negatives_into(
-            config.strategy.neg,
-            pos,
-            model,
-            ent,
-            rel,
-            filter,
-            bias,
-            n_entities,
-            &mut rng,
-            &mut cs.neg_scratch,
-            &mut cs.negs,
-        );
-        for n in &cs.negs {
-            cs.labels.push(-1.0);
-            cs.triples.push((n.head, n.rel, n.tail));
-        }
-    }
+    stage_negatives(
+        config.strategy.neg,
+        (lo..hi).map(|i| shard[(start + i) % shard.len()]),
+        model,
+        ent,
+        rel,
+        filter,
+        bias,
+        n_entities,
+        &mut StdRng::seed_from_u64(rng_seed),
+        &mut cs.select,
+        &mut cs.labels,
+        &mut cs.triples,
+    );
     cs.examples = cs.triples.len();
 }
 
@@ -1618,7 +1607,7 @@ impl BatchWorkspace {
         let start = batch_idx * config.batch_size;
         let dim = ent.dim();
         // Every positive trains against exactly `neg.train` negatives
-        // (`sample_negatives_into` keeps `train` out of `pool ≥ train`),
+        // (`stage_chunk` keeps `train` out of `pool ≥ train`),
         // so the batch normalizer is known before any chunk runs.
         let inv_batch = 1.0f32 / (bs * (1 + config.strategy.neg.train)) as f32;
         let n_chunks = bs.div_ceil(GRAD_CHUNK);
@@ -1928,8 +1917,9 @@ mod tests {
         let ds = tiny_dataset(2);
         let cluster = Cluster::new(3, ClusterSpec::cray_xc40());
         let config = quick_config(StrategyConfig::baseline_allgather(2));
+        let neg = NegContext::build(&ds, config.strategy.bern);
         let results = cluster.run(|ctx| {
-            let res = run_node(ctx, &ds, &config, None);
+            let res = run_node(ctx, &ds, &neg, &config, None);
             (res.entities, res.relations)
         });
         for (ent, rel) in &results[1..] {

@@ -22,7 +22,7 @@ use kge_compress::row_select::select_rows;
 use kge_compress::QuantScheme;
 use kge_core::alloc_count;
 use kge_train::exchange::{exchange_allgather_into, exchange_allreduce, GatherBufs};
-use kge_train::{BatchWorkspace, StrategyConfig, TrainConfig};
+use kge_train::{BatchWorkspace, NegSampling, StrategyConfig, TrainConfig};
 use kge_core::SparseGrad;
 use kge_data::synth::{generate, SynthConfig};
 use kge_data::FilterIndex;
@@ -30,9 +30,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simgrid::{Cluster, ClusterSpec};
 
-#[test]
-fn steady_state_batch_loop_allocates_nothing() {
-    let ds = generate(&SynthConfig {
+fn probe_dataset() -> kge_data::Dataset {
+    generate(&SynthConfig {
         name: "alloc-probe".into(),
         n_entities: 300,
         n_relations: 12,
@@ -43,7 +42,13 @@ fn steady_state_batch_loop_allocates_nothing() {
         valid_frac: 0.05,
         test_frac: 0.05,
         seed: 9,
-    });
+    })
+}
+
+#[test]
+fn steady_state_batch_loop_allocates_nothing() {
+    let _exclusive = alloc_count::exclusive();
+    let ds = probe_dataset();
     let config = TrainConfig::new(4, 256, StrategyConfig::baseline_allreduce(2));
 
     let deltas = Cluster::new(1, ClusterSpec::cray_xc40()).run(|ctx| {
@@ -165,4 +170,52 @@ fn steady_state_batch_loop_allocates_nothing() {
         "steady-state batch loop allocated {} times ({} bytes)",
         delta.allocs, delta.bytes
     );
+}
+
+/// Sample selection (§4.5): chunk-batched pool scoring and hardest-`m`
+/// selection through `BatchWorkspace::batch_gradients_into`. The tables
+/// stay fixed, so both passes stage the same examples — which negatives
+/// selection keeps depends on the current scores, and a pass that moved
+/// the model would touch a different row set — and the second pass must
+/// reuse every buffer the first one grew.
+#[test]
+fn steady_state_selection_batches_allocate_nothing() {
+    let _exclusive = alloc_count::exclusive();
+    let ds = probe_dataset();
+    let filter = FilterIndex::build(&ds);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("single-thread pool");
+    for neg in [NegSampling::select(1, 5), NegSampling::select(2, 6)] {
+        let mut strategy = StrategyConfig::baseline_allreduce(2);
+        strategy.neg = neg;
+        let config = TrainConfig::new(4, 256, strategy);
+        let delta = pool.install(|| {
+            let model = config.model.build(config.rank);
+            let model = model.as_ref();
+            let dim = model.storage_dim();
+            let mut init_rng = StdRng::seed_from_u64(config.seed);
+            let ent = kge_core::EmbeddingTable::xavier(ds.n_entities, dim, &mut init_rng);
+            let rel = kge_core::EmbeddingTable::xavier(ds.n_relations, dim, &mut init_rng);
+            let mut ws = BatchWorkspace::new(dim);
+            let batches = ds.train.len().div_ceil(config.batch_size);
+            let pass = |ws: &mut BatchWorkspace| {
+                for b in 0..batches {
+                    ws.batch_gradients_into(
+                        model, &ent, &rel, &ds.train, b, &config, &filter, None, 0, 0,
+                    );
+                }
+            };
+            pass(&mut ws); // warm-up: allowed to allocate
+            let start = alloc_count::snapshot();
+            pass(&mut ws);
+            alloc_count::since(start)
+        });
+        assert_eq!(
+            delta.allocs, 0,
+            "steady-state selection batches ({neg:?}) allocated {} times ({} bytes)",
+            delta.allocs, delta.bytes
+        );
+    }
 }

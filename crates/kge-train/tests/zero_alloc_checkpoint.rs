@@ -26,6 +26,7 @@ use simgrid::{Collective, TimeBreakdown};
 
 #[test]
 fn steady_state_checkpoint_encoding_allocates_nothing() {
+    let _exclusive = alloc_count::exclusive();
     let dim = 64usize;
     let n_ent = 300usize;
     let n_rel = 12usize;

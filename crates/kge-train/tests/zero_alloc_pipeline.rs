@@ -32,6 +32,7 @@ const WINDOW: usize = 2;
 
 #[test]
 fn steady_state_pipelined_loop_allocates_nothing() {
+    let _exclusive = alloc_count::exclusive();
     let ds = generate(&SynthConfig {
         name: "alloc-pipe".into(),
         n_entities: 300,

@@ -34,6 +34,7 @@ use simgrid::{Cluster, ClusterSpec};
 
 #[test]
 fn steady_state_sharded_batch_loop_allocates_nothing() {
+    let _exclusive = alloc_count::exclusive();
     let ds = generate(&SynthConfig {
         name: "sharded-alloc-probe".into(),
         n_entities: 300,
@@ -162,6 +163,7 @@ fn steady_state_sharded_batch_loop_allocates_nothing() {
 
 #[test]
 fn steady_state_prefetch_ring_allocates_nothing() {
+    let _exclusive = alloc_count::exclusive();
     // Same contract, prefetch pipeline: after one warm epoch the full
     // ring cycle — staging into a slot, touched-union dedup, launch-time
     // classification, request staging, compute from the slot table,

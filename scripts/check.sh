@@ -51,6 +51,15 @@ KGE_FORCE_SCALAR=1 cargo test -p kge-core --release --test prop_train_kernels
 KGE_FORCE_SCALAR=1 cargo test -p kge-compress --release --test prop_roundtrip
 echo "check: kernel + codec bit-identity property tests pass (both dispatch arms)"
 
+# Sample selection: chunk-batched staging (one block-scoring call per
+# chunk's candidate pools) must reproduce the per-positive
+# `sample_negatives` reference draw for draw, kept order included — under
+# both dispatch arms, since the block scorer takes the SIMD kernels on one
+# and the scalar `score` on the other.
+cargo test -p kge-train --release --test prop_neg_selection
+KGE_FORCE_SCALAR=1 cargo test -p kge-train --release --test prop_neg_selection
+echo "check: chunk-batched negative selection matches the reference (both dispatch arms)"
+
 # Pipelined-exchange determinism: staleness 0 must reproduce the
 # synchronous collectives bit-exactly and staleness >= 1 must be
 # thread-count independent — under both dispatch arms — and the
